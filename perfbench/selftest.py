@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Self-test of the benchmark (about 15 seconds):
+"""Self-test of the benchmark (about 20 seconds):
 
     python3 perfbench/selftest.py
 
