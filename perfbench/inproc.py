@@ -3,9 +3,12 @@ items driven through its public methods from this process.
 
 ``read`` is static: a stream of single ``query`` and ``query_many(64)``
 calls over a pool of 8 (alpha, beta) pairs, so every plan stays cached
-and the time goes to the executors.  Before its first query, a fixed
-write probe on the freshly built structure measures the update path
-alone (no plan watches the structure yet).
+and the time goes to the executors.  Before its first query, a write
+probe on the freshly built structure (a quarter of the measured time)
+measures the update path alone (no plan watches the structure yet).
+
+Every timing of an untraced run is scaled to a nominal host speed (see
+``hostspeed``).
 
 ``churn`` is half writes (insert a fresh key, delete a live key, or
 ``update_weight`` a live key), so every query meets a new total weight and
@@ -26,18 +29,23 @@ from common import (
     KeySet, RunRecord, beyond_p99, draw_weight, median, now_ns, percentile,
 )
 from checks import check_batch_size, check_sample, fraction, size_moments
+from hostspeed import SLICE_NS, HostSpeed
 
 N = 100_000
 #: HALT builds per run; ``setup_s`` is their median.
 BUILDS = 3
+#: Host-speed probes taken before and after each build.
+SETUP_PROBES = 5
 READ_COUNT = 64
 CHURN_COUNT = 16
 #: Untimed read ops first: by then the plans' lazily built bucket plans
 #: and bound tables have (nearly) stopped growing.
 READ_WARM_OPS = 400
 CHURN_WARM_OPS = 600
-#: Write ops timed before the read phase (the read workload's write metrics):
-#: a few seconds of writes, so that host noise averages out.
+#: Share of the read workload's measured time given to the write probe
+#: before its query phase (the read workload's write metrics).
+WRITE_SHARE = 0.25
+#: Write ops in a traced run's write probe.
 WRITE_PROBE = 100_000
 #: Churn: the next ``query_many`` after every this many ops is size-checked.
 CHECKPOINT_EVERY = 600
@@ -125,6 +133,17 @@ class Meter:
         self.bits_single = 0
         self.bits_query = 0
         self.items = 0
+
+    def absorb(self, other: "Meter", factor: float) -> None:
+        """Add ``other``'s latencies and counts, its times scaled by
+        ``factor`` (see ``hostspeed``)."""
+        self.single += [dt * factor for dt in other.single]
+        self.writes += [dt * factor for dt in other.writes]
+        self.batch_ns += other.batch_ns * factor
+        self.draws += other.draws
+        self.batches += other.batches
+        self.op_ns += other.op_ns * factor
+        self.ops += other.ops
 
 
 def _plain(name, fn, *args):
@@ -231,6 +250,23 @@ class Runner:
             if problem:
                 record.fail(f"{kind}: {problem}")
 
+    def run_sliced(self, speed: HostSpeed, deadline_ns: int) -> Meter:
+        """``run`` until ``deadline_ns`` in slices of ``SLICE_NS`` with a
+        host-speed probe after each; returns one ``Meter`` with every
+        slice's times scaled by its factor."""
+        parts = []
+        before = speed.mark()
+        while now_ns() < deadline_ns:
+            meter = Meter()
+            self.run(meter, deadline_ns=min(now_ns() + SLICE_NS, deadline_ns))
+            after = speed.mark()
+            parts.append((meter, before, after))
+            before = after
+        total = Meter()
+        for meter, before, after in parts:
+            total.absorb(meter, speed.slice_factor(before, after))
+        return total
+
     def check_invariants(self, when: str) -> None:
         self.record.attempted += 1
         try:
@@ -325,14 +361,19 @@ def run(workload: str, seed: int, seconds: float, trace: bool,
     items = [(key, draw_weight(rng)) for key in range(n)]
     mirror = dict(items)
 
-    setup = []
+    speed = HostSpeed()
+    setup, raw_setup = [], []
     halt = None
     for _ in range(1 if trace else builds):
         halt = None
         gc.collect()
+        lo = speed.mark(SETUP_PROBES) - SETUP_PROBES + 1
         t0 = now_ns()
         halt = _build(items, seed)
-        setup.append((now_ns() - t0) / 1e9)
+        dt = (now_ns() - t0) / 1e9
+        hi = speed.mark(SETUP_PROBES) + 1
+        raw_setup.append(dt)
+        setup.append(dt * speed.factor(lo, hi))
     del items
     gc.collect()
 
@@ -342,14 +383,19 @@ def run(workload: str, seed: int, seconds: float, trace: bool,
         layer_targets(tracer)
     runner = Runner(workload, halt, mirror, [(1, 0)], None, record)
     stream_rng = random.Random(seed * 1_000_003 + 17)
-    probe = None
+    probe = probe_writes = None
     if workload == "read":
         # The write probe runs first, on the freshly built structure: no
         # plan watches it yet, so it times the update path alone, from a
         # state that depends only on the seed.
-        probe = _Segment(tracer)
         runner.ops = write_probe_ops(random.Random(seed + 99), mirror, n)
-        probe.run(runner, limit=WRITE_PROBE)
+        if trace:
+            probe = _Segment(tracer)
+            probe.run(runner, limit=WRITE_PROBE)
+        else:
+            span = int(WRITE_SHARE * seconds * 1e9)
+            probe_writes = runner.run_sliced(speed, now_ns() + span).writes
+            seconds *= 1 - WRITE_SHARE
         runner.check_invariants("the write probe")
         runner.pairs = pair_pool(halt.total_weight)
         runner.ops = read_ops(stream_rng, len(runner.pairs))
@@ -364,15 +410,17 @@ def run(workload: str, seed: int, seconds: float, trace: bool,
         if work:
             tracer.write(f"{work}/spans-{workload}-{seed}.jsonl")
     else:
-        main = Meter()
-        runner.run(main, deadline_ns=now_ns() + int(seconds * 1e9))
+        main = runner.run_sliced(speed, now_ns() + int(seconds * 1e9))
         runner.check_invariants(f"the {workload} phase")
-        writes = probe.meter.writes if probe else main.writes
+        writes = probe_writes if probe_writes is not None else main.writes
         _end_to_end(record, main, writes, setup)
+        record.note(f"host speed index {speed.index():.3f} over "
+                    f"{len(speed.samples)} probes; raw (unscaled) setup builds "
+                    + " ".join(f"{s:.3f}s" for s in raw_setup))
     return record
 
 
-def _end_to_end(record: RunRecord, main: Meter, writes: list[int],
+def _end_to_end(record: RunRecord, main: Meter, writes: list[float],
                 setup: list[float]) -> None:
     m = record.metrics
     m["setup_s"] = median(setup)

@@ -7,7 +7,8 @@ lockstep.  The mix is 40% ``query 1 0``, 5% ``query 1 0 8``, 25% ``get``,
 15% ``put`` and 15% ``del``, in shuffled blocks with that exact mix.  The
 WAL flushes to the OS per batch without fsync (the program's behaviour).
 Every request is recorded with its send and reply times and checked after
-the run (see ``checks.check_served``).
+the run (see ``checks.check_served``).  The untraced run's timings are
+scaled to a nominal host speed (see ``hostspeed``).
 """
 
 from __future__ import annotations
@@ -26,13 +27,16 @@ import time
 from common import (
     KeySet, RunRecord, beyond_p99, draw_weight, median, now_ns, percentile,
 )
-from checks import check_served, T_RECV, T_SEND, TIMED, VERB
+from checks import check_served, T_RECV, T_SEND, VERB
+from hostspeed import SLICE_NS, HostSpeed
 
 SNAP_N = 50_000
 SHARDS = 2
 CONNS = 2
 #: Server starts per run; ``setup_s`` is their median, the last one serves.
 SPAWNS = 5
+#: Host-speed probes taken before and after each server start.
+SETUP_PROBES = 5
 #: Untimed requests per connection before the timed phase.
 WARM_OPS = 150
 QUERY_K = 8
@@ -307,24 +311,48 @@ class Session:
     def warm(self) -> None:
         drive(self.conns, self.records, timed=False, per_conn=WARM_OPS)
 
-    def timed(self, seconds: float) -> tuple[int, int]:
-        t0 = now_ns()
-        drive(self.conns, self.records, timed=True,
-              deadline_ns=t0 + int(seconds * 1e9))
-        return t0, now_ns()
+    def timed(self, seconds: float, speed: HostSpeed | None = None) -> list[tuple]:
+        """The closed loop for ``seconds``.  Returns per slice ``(first
+        record, end record, wall ns, factor)``: with ``speed``, slices of
+        ``SLICE_NS``, each letting its requests finish before the server
+        idles while this process probes the host's speed; without, one
+        slice with factor 1."""
+        end = now_ns() + int(seconds * 1e9)
+        if speed is None:
+            first, t0 = len(self.records), now_ns()
+            drive(self.conns, self.records, timed=True, deadline_ns=end)
+            return [(first, len(self.records), now_ns() - t0, 1.0)]
+        parts = []
+        before = speed.mark()
+        while now_ns() < end:
+            first, t0 = len(self.records), now_ns()
+            drive(self.conns, self.records, timed=True,
+                  deadline_ns=min(end, t0 + SLICE_NS))
+            parts.append((first, len(self.records), now_ns() - t0, before,
+                          speed.mark()))
+            before = parts[-1][-1]
+        return [(first, stop, wall, speed.slice_factor(a, b))
+                for first, stop, wall, a, b in parts]
 
     def close(self) -> None:
         for conn in self.conns:
             conn.sock.close()
 
 
-def _client_stats(records, t0: int, t1: int) -> dict:
+def _client_stats(records, slices) -> dict:
+    """Round trips by verb and throughput over the slices of
+    ``Session.timed``, every round trip and slice time scaled by its
+    slice's factor."""
     rt = {"query": [], "queryk": [], "get": [], "put": [], "del": []}
-    for rec in records:
-        if rec[TIMED]:
-            rt[rec[VERB]].append(rec[T_RECV] - rec[T_SEND])
+    scaled_ns = wall_ns = 0.0
+    for first, stop, wall, factor in slices:
+        for rec in records[first:stop]:
+            rt[rec[VERB]].append((rec[T_RECV] - rec[T_SEND]) * factor)
+        scaled_ns += wall * factor
+        wall_ns += wall
     ops = sum(len(v) for v in rt.values())
-    return {"rt": rt, "ops": ops, "ops_per_s": ops / ((t1 - t0) / 1e9)}
+    return {"rt": rt, "ops": ops, "ops_per_s": ops / (scaled_ns / 1e9),
+            "raw_ops_per_s": ops / (wall_ns / 1e9)}
 
 
 def run(root: str, work: str, seed: int, seconds: float, trace: bool,
@@ -336,25 +364,29 @@ def run(root: str, work: str, seed: int, seconds: float, trace: bool,
         _traced(record, root, work, seed, seconds, snapshot, initial)
         return record
 
-    setup = []
+    speed = HostSpeed()
+    setup, raw_setup = [], []
     server = None
     try:
         for i in range(spawns):
             if server is not None:
                 server.kill()  # a set-up-only server has nothing to save
+            lo = speed.mark(SETUP_PROBES) - SETUP_PROBES + 1
             server = Server(root, work, f"s{i}", snapshot, n)
-            setup.append(server.setup_s)
+            hi = speed.mark(SETUP_PROBES) + 1
+            raw_setup.append(server.setup_s)
+            setup.append(server.setup_s * speed.factor(lo, hi))
         session = Session(server, seed, n)
         _note_kernel(record, server)
         session.warm()
-        t0, t1 = session.timed(seconds)
+        slices = session.timed(seconds, speed)
         rss = server.peak_rss_mb()
         session.close()
     finally:
         if server is not None:
             server.stop()
     _check(record, session.records, initial)
-    cs = _client_stats(session.records, t0, t1)
+    cs = _client_stats(session.records, slices)
     rt = cs["rt"]
     writes = rt["put"] + rt["del"]
     m = record.metrics
@@ -367,6 +399,10 @@ def run(root: str, work: str, seed: int, seconds: float, trace: bool,
     m["write_p99_us"] = percentile(writes, 0.99) / 1e3
     m["peak_rss_mb"] = rss
     record.note("setup spawns=" + " ".join(f"{s:.3f}s" for s in setup))
+    record.note(f"host speed index {speed.index():.3f} over "
+                f"{len(speed.samples)} probes; raw (unscaled) ops_per_s "
+                f"{cs['raw_ops_per_s']:.1f}, setup spawns "
+                + " ".join(f"{s:.3f}s" for s in raw_setup))
     record.note(f"samples: single_queries={len(rt['query'])} "
                 f"(beyond p99: {beyond_p99(len(rt['query']))}), "
                 f"batches={len(rt['queryk'])}, gets={len(rt['get'])}, "
@@ -458,12 +494,12 @@ def _traced(record: RunRecord, root: str, work: str, seed: int,
         session = Session(server, seed, n)
         _note_kernel(record, server)
         session.warm()
-        p0, p1 = session.timed(seconds / 2)
+        plain_slices = session.timed(seconds / 2)
         session.close()
     finally:
         server.stop()
     _check(record, session.records, initial)
-    plain = _client_stats(session.records, p0, p1)
+    plain = _client_stats(session.records, plain_slices)
 
     prefix = os.path.join(work, f"trace-serve-{seed}")
     for name in os.listdir(work):
@@ -474,13 +510,15 @@ def _traced(record: RunRecord, root: str, work: str, seed: int,
         session = Session(server, seed, n)
         session.warm()
         before = parse_exposition(server.scrape())
-        t0, t1 = session.timed(seconds / 2)
+        t0 = now_ns()
+        slices = session.timed(seconds / 2)
+        t1 = now_ns()
         after = parse_exposition(server.scrape())
         session.close()
     finally:
         server.stop()
     _check(record, session.records, initial)
-    cs = _client_stats(session.records, t0, t1)
+    cs = _client_stats(session.records, slices)
     expo = {k: v - before.get(k, 0.0) for k, v in after.items()}
 
     front = stats_from_spans(prefix + "-front.jsonl", t0, t1)
