@@ -224,12 +224,8 @@ def run_smoke(
     ) / batch_count
 
     # The kernel-layer gate: count=256 draws through the batched columnar
-    # executor (dispatching through the active kernel backend) versus the
-    # same 256 draws as looped single queries, measured in the same run so
-    # host drift cancels out of the ratio.
-    from ..fastpath import kernels
-
-    kernel = kernels.kernel_name()
+    # executor versus the same 256 draws as looped single queries, measured
+    # in the same run so host drift cancels out of the ratio.
     kernel_count = 256
     for _ in range(3):
         fast.query_many(1, 0, kernel_count)
@@ -260,11 +256,10 @@ def run_smoke(
          "fastpath": True},
         {"structure": "HALT", "n": n, "mu": round(mu, 3),
          "ns_per_op": round(looped_ns), "op": "query(1,0) looped",
-         "fastpath": True, "kernel": kernel},
+         "fastpath": True},
         {"structure": "HALT", "n": n, "mu": round(mu, 3),
          "ns_per_op": round(kernel_batch_ns),
-         "op": f"query_many(1,0,{kernel_count})/draw",
-         "fastpath": True, "kernel": kernel},
+         "op": f"query_many(1,0,{kernel_count})/draw", "fastpath": True},
     ]
 
     counter = iter(range(1 << 62))
@@ -289,7 +284,6 @@ def run_smoke(
         "query_many_speedup_256": (
             looped_ns / kernel_batch_ns if kernel_batch_ns else None
         ),
-        "kernel": kernel,
         "obs_overhead": obs_overhead,
     }
     base = baseline("E1", directory)
@@ -320,8 +314,8 @@ def run_smoke(
           f"{summary['speedup_vs_exact']:.2f}x")
     print(f"E1 query_many columnar batch vs looped single queries: "
           f"{summary['query_many_speedup']:.2f}x")
-    print(f"E1 query_many count=256 vs looped singles "
-          f"(kernel={kernel}): {summary['query_many_speedup_256']:.2f}x")
+    print(f"E1 query_many count=256 vs looped singles: "
+          f"{summary['query_many_speedup_256']:.2f}x")
     print(f"E1 observability overhead (instrumented / obs-off query): "
           f"{summary['obs_overhead']:.3f}x")
 

@@ -71,7 +71,6 @@ class AliasRow:
         "_size",
         "_tf",
         "_gate_cache",
-        "kernel_cache",
     )
 
     def __init__(self, law: list[tuple[int, Rat]]) -> None:
@@ -103,8 +102,6 @@ class AliasRow:
         # Per-gate-width (lo, hi) float bands, built on demand by
         # gate_bounds(); invalidated when the gate width changes.
         self._gate_cache: tuple | None = None
-        # Kernel-backend scratch (e.g. numpy copies of the gate bounds).
-        self.kernel_cache: tuple | None = None
 
     def gate_bounds(self, gate_bits: int, scale: float) -> tuple[list, list]:
         """Per-slot ``(lo, hi)`` decision bounds of the threshold gate at

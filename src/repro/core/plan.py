@@ -40,7 +40,6 @@ import weakref
 from bisect import bisect_left
 
 from ..fastpath import gate
-from ..fastpath import kernels as _kernels
 from ..fastpath.geom import GeomPlan
 from ..obs.metrics import OBS as _OBS, REGISTRY as _REGISTRY
 from ..wordram.rational import Rat
@@ -85,7 +84,6 @@ class QueryPlan:
         "_insig_rows",
         "_chain_rows",
         "_inst_rows",
-        "kernel",
         "__weakref__",
     )
 
@@ -95,9 +93,6 @@ class QueryPlan:
         self.wd = total.den
         self.zero = total.num == 0
         self.config = config
-        #: The kernel backend the columnar executors dispatch through,
-        #: captured at construction (tests activate() before building).
-        self.kernel = _kernels.active()
         self._bucket_plans: dict[int, GeomPlan] = {}
         #: level -> cut record (level 3 is the shared final-level slot; all
         #: final instances have the same ``p_dom = 2/m^2``).

@@ -17,14 +17,13 @@ primitives with the same parameters — so each draw's output law is
 exactly the independent product law, and draws are mutually independent
 (every bit of the source feeds exactly one primitive of exactly one
 draw).  The bit-stream *layout* differs from ``count`` single-draw calls:
-draws interleave site by site, the hot inner loops dispatch through the
-batch kernels of :mod:`repro.fastpath.kernels` (round-major grouped word
-reads, classification vectorizable per backend, the stream itself never
-vectorized), and skip-chain advances gate the "past the end" event
-directly (:func:`~repro.fastpath.geom.fast_skip_or_miss`'s folding, whose
-joint law equals the bounded-geometric advance it replaces).  The
-exhaustive bit-tree enumerations in ``tests/fastpath/test_columnar_law.py``
-pin the law claims on both engines and all kernel backends.
+draws interleave site by site, the hot inner loops run as the batch
+kernels of :mod:`repro.fastpath.kernels` (round-major grouped word
+reads), and skip-chain advances gate the "past the end" event directly
+(:func:`~repro.fastpath.geom.fast_skip_or_miss`'s folding, whose joint
+law equals the bounded-geometric advance it replaces).  The exhaustive
+bit-tree enumerations in ``tests/fastpath/test_columnar_law.py`` pin the
+law claims on both engines.
 
 Data flow between hierarchy levels is columnar too: instead of allocating
 ``count`` intermediate lists per instance, each level returns a flat list
@@ -38,7 +37,7 @@ import math
 
 from ..randvar.approx import pow_approx_fn
 from ..randvar.bitsource import BitSource
-from . import gate
+from . import gate, kernels
 from .gate import (
     _resolve_lazy,
     bernoulli_given_u,
@@ -94,7 +93,7 @@ def _batched_level(inst, plan, source, count, stats) -> list:
         row = plan.instance_alias(child)
         if row is not None:
             child_pairs = []
-            plan.kernel.alias_draws(row, source, range(count), child_pairs)
+            kernels.alias_draws(row, source, range(count), child_pairs)
         elif level1:
             child_pairs = _batched_level(child, plan, source, count, stats)
         else:
@@ -269,7 +268,7 @@ def _batched_insignificant(
             # exact alias row whose values are the sampled entry tuples —
             # one alias draw per query draw replaces the whole gate/scan
             # cascade, with exactly the same output law.
-            plan.kernel.alias_draws(row, source, range(count), pairs)
+            kernels.alias_draws(row, source, range(count), pairs)
             return
     t = x * gate._SCALE
     slack = t * rel + 8.0
@@ -278,7 +277,7 @@ def _batched_insignificant(
     # grouped fetch per 64-bit slice), then the rare non-miss draws resolve
     # in draw order with fresh bits — every bit still feeds exactly one
     # primitive of one draw, so laws and independence are untouched.
-    for j, u in plan.kernel.miss_gate_hits(source, count, lo):
+    for j, u in kernels.miss_gate_hits(source, count, lo):
         _insig_resolve(inst, u, dom_plan, cap, plan, source, j, pairs, stats)
 
 
@@ -455,7 +454,7 @@ def _extract_bucket(bg, bucket, plan, source, draws, pairs, stats) -> None:
         if row is not None:
             # Small bucket: the whole chain is one draw from the
             # pre-tabulated product law (see QueryPlan.chain_alias).
-            plan.kernel.alias_draws(row, source, draws, pairs)
+            kernels.alias_draws(row, source, draws, pairs)
             return
     bplan = plan.bucket_plan(bucket.index)
     wn, wd = plan.wn, plan.wd
@@ -490,7 +489,7 @@ def _extract_bucket(bg, bucket, plan, source, draws, pairs, stats) -> None:
                 for pos in cert:
                     pairs.append((j, entries[pos]))
             return
-        rows = plan.kernel.gate_rows(source, len(draws), los, his, nums, wn)
+        rows = kernels.gate_rows(source, len(draws), los, his, nums, wn)
         if cert:
             for j, acc in zip(draws, rows):
                 merged = cert + [unc_pos[idx] for idx in acc]
@@ -551,7 +550,7 @@ def _extract_bucket(bg, bucket, plan, source, draws, pairs, stats) -> None:
         # p' < 1/4 with p'·n_i < 1: fused case-2 entry, and every advance
         # is the likely-miss one-word gate (num·rem < den for all rem) —
         # the whole grouped chain is the kernel's round-major phases.
-        plan.kernel.chain_case2(
+        kernels.chain_case2(
             bplan, entries, weights, shift, n_i, source, draws, pairs, stats
         )
         return
@@ -737,7 +736,7 @@ def batched_bucket_walk(
                     for pos in cert:
                         out.append(payloads[pos])
                 continue
-            rows = plan.kernel.gate_rows(source, count, los, his, nums, wn)
+            rows = kernels.gate_rows(source, count, los, his, nums, wn)
             if cert:
                 for out, acc in zip(outs, rows):
                     merged = cert + [unc_pos[idx] for idx in acc]

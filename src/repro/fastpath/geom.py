@@ -55,8 +55,8 @@ class GeomPlan:
         self.den = den
         self.one = num >= den
         self.miss_cache: dict[int, tuple[float, float]] = {}
-        # Kernel-layer bound caches (see fastpath.kernels.pow_bounds),
-        # keyed by (gate width, n_i) — shared by all kernel backends.
+        # Power-gate bound tables (see fastpath.kernels.pow_bounds),
+        # keyed by (gate width, n_i).
         self.kernel_cache: dict = {}
         if self.one:
             self.seq = False

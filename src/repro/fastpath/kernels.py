@@ -1,35 +1,149 @@
-"""The zero-dependency kernel backend — and the stream-contract reference.
+"""Batch kernels for the columnar executors' hot loops.
 
-Each kernel here defines the *phase layout* of its batch: which logical
-words are read in which order, and where the exact scalar resolutions
+The inner loops of :mod:`repro.fastpath.columnar` that touch every batch
+element — the per-draw miss-gate words of Algorithm 2, the alias-row
+batch draws, the dense ``p' = 1`` gate matrices and the grouped
+Algorithm 5 case-2 chains — live here, once, as plain-Python loops over
+block word reads.
+
+Each kernel defines the *phase layout* of its batch: which logical words
+are read in which order, and where the exact scalar resolutions
 (:func:`~repro.fastpath.gate.bernoulli_given_u`,
 :func:`~repro.fastpath.gate._resolve_lazy`,
-:func:`~repro.fastpath.geom.fast_truncated_geometric`) interleave.  The
-numpy backend must reproduce these decisions from the same word sequence
-exactly; it falls back to the functions in this module verbatim for
-batches too small to vectorize, which is only sound because the layouts
-match.
+:func:`~repro.fastpath.geom.fast_truncated_geometric`) interleave.
+Relative to a per-draw walk the layouts are *round-major*: a round reads
+one word per still-active draw in one grouped fetch (:func:`read_words`
+— ``bits(a + b)`` is exactly ``bits(a)`` then ``bits(b)``, so block
+fetches are stream-equivalent to repeated fetches), then classifies and
+resolves in draw order.  Every bit still feeds exactly one primitive of
+exactly one draw, so per-draw output laws and cross-draw independence
+are untouched (the enumeration suites in
+``tests/fastpath/test_columnar_law.py`` pin this).
 
-Relative to the pre-kernel inline loops the layouts are *round-major*
-instead of draw-major: a round reads one word per still-active draw in
-one grouped fetch, then classifies and resolves in draw order.  Every bit
-still feeds exactly one primitive of exactly one draw, so per-draw output
-laws and cross-draw independence are untouched (the enumeration suites in
-``tests/fastpath/test_columnar_law.py`` pin this on both backends).
+Every kernel call counts its batch elements into
+``repro_kernel_batch_elems_total`` on the process-default metrics
+registry (the ``stats`` verb's ``kernel_batch_elems`` reads deltas of
+it).  The executors call the kernels as attributes of this module, so a
+tracer that rebinds a module attribute sees every call.
 """
 
 from __future__ import annotations
 
-from ...obs.metrics import OBS as _OBS, REGISTRY as _REGISTRY
-from ...randvar.approx import pow_approx_fn
-from .. import gate
-from ..gate import _resolve_lazy, bernoulli_given_u
-from ..geom import fast_truncated_geometric
-from . import METRIC_HELP, METRIC_NAME, pow_bounds, read_words
+import math
+import sys
 
+from ..obs.metrics import OBS as _OBS, REGISTRY as _REGISTRY
+from ..randvar.approx import pow_approx_fn
+from . import gate
+from .gate import _resolve_lazy, bernoulli_given_u
+from .geom import fast_truncated_geometric
+
+__all__ = [
+    "alias_draws",
+    "batch_elems",
+    "chain_case2",
+    "gate_rows",
+    "miss_gate_hits",
+    "pow_bounds",
+    "read_words",
+]
+
+#: The kernel implementation's name, as reported to benchmark records.
 NAME = "python"
 
-_ELEMS = _REGISTRY.counter(METRIC_NAME, METRIC_HELP, backend=NAME)
+_ELEMS = _REGISTRY.counter(
+    "repro_kernel_batch_elems_total",
+    "Batch elements processed by the columnar kernels (draw slots per "
+    "kernel call)",
+)
+
+
+def batch_elems() -> int:
+    """Total batch elements processed by the kernels in this process."""
+    return _ELEMS.value
+
+
+# The benchmark's tracer (perfbench/inproc.py) enumerates kernel
+# implementations through these; there is exactly one, this module.
+
+
+def kernel_name() -> str:
+    return NAME
+
+
+def names() -> list[str]:
+    return [NAME]
+
+
+def active():
+    return sys.modules[__name__]
+
+
+def get(name: str):
+    if name != NAME:
+        raise KeyError(name)
+    return sys.modules[__name__]
+
+
+# -- shared primitives -------------------------------------------------------
+
+
+def read_words(bits, n: int, width: int) -> list[int]:
+    """The next ``n`` stream words of ``width`` bits each, as Python ints.
+
+    Fetches are grouped so each ``bits`` call stays within one 64-bit
+    buffered slice (``bits(k)`` is cheapest for ``k <= 64``); the result
+    is identical to ``[bits(width) for _ in range(n)]`` because ``bits``
+    is a plain MSB-first stream reader.  Every kernel reads through this,
+    so the stream schedule is defined once, here.
+    """
+    if n <= 0:
+        return []
+    per = 64 // width if width < 64 else 1
+    if per <= 1 or n == 1:
+        return [bits(width) for _ in range(n)]
+    out: list[int] = []
+    append = out.append
+    mask = (1 << width) - 1
+    full, rest = divmod(n, per)
+    span = per * width
+    shifts = range(span - width, -1, -width)
+    for _ in range(full):
+        w = bits(span)
+        for s in shifts:
+            append((w >> s) & mask)
+    if rest:
+        w = bits(rest * width)
+        for s in range(rest * width - width, -1, -width):
+            append((w >> s) & mask)
+    return out
+
+
+def pow_bounds(bplan, n_i: int, g: int, scale: float) -> tuple[list, list]:
+    """Per-exponent ``(lo, hi)`` decision bounds for ``Ber((1-p)^e)``,
+    ``e`` in ``[1, n_i - 1]``, indexed by ``e`` (index 0 carries the
+    always-accept sentinel ``(+inf, -inf)`` for the exponent-0 case).
+
+    The same certified formula as the inline gates (grep ``1e-11 - a *
+    1e-15``), computed once per ``(gate width, n_i)`` with scalar
+    ``math.exp`` and cached on ``bplan.kernel_cache``.
+    """
+    cache = bplan.kernel_cache
+    key = (g, n_i)
+    got = cache.get(key)
+    if got is None:
+        ls = bplan.ls
+        los = [float("inf")]
+        his = [float("-inf")]
+        for e in range(1, n_i):
+            a = e * ls
+            t = math.exp(a) * scale
+            slack = t * (1e-11 - a * 1e-15) + 8.0
+            los.append(t - slack)
+            his.append(t + slack)
+        got = (los, his)
+        cache[key] = got
+    return got
 
 
 # -- K1: Algorithm 2 miss gates ----------------------------------------------
@@ -60,10 +174,6 @@ def alias_draws(row, source, draw_indices, pairs) -> None:
     """
     if _OBS.enabled:
         _ELEMS.value += len(draw_indices)
-    _alias_scalar(row, source, draw_indices, pairs)
-
-
-def _alias_scalar(row, source, draw_indices, pairs) -> None:
     values = row.values
     size = len(values)
     if size == 1:
@@ -116,16 +226,10 @@ def gate_rows(source, nrows, los, his, nums, den) -> list[list[int]]:
     """One gate word per (row, uncertain entry), row-major in one grouped
     fetch; returns each row's accepted entry indices ascending.  Ambiguous
     words resolve exactly in (row, entry) order after the read phase."""
-    if _OBS.enabled:
-        _ELEMS.value += nrows * len(los)
-    words = read_words(source.bits, nrows * len(los), gate.GATE_BITS)
-    return _gate_rows_words(words, nrows, los, his, nums, den, source)
-
-
-def _gate_rows_words(
-    words, nrows, los, his, nums, den, source
-) -> list[list[int]]:
     m = len(los)
+    if _OBS.enabled:
+        _ELEMS.value += nrows * m
+    words = read_words(source.bits, nrows * m, gate.GATE_BITS)
     out = []
     p = 0
     for _ in range(nrows):
@@ -161,17 +265,7 @@ def chain_case2(
     """
     if _OBS.enabled:
         _ELEMS.value += len(draws)
-    _chain_case2_impl(
-        bplan, entries, weights, shift, n_i, source, draws, pairs, stats
-    )
-
-
-def _chain_case2_impl(
-    bplan, entries, weights, shift, n_i, source, draws, pairs, stats
-) -> None:
-    g = gate.GATE_BITS
-    scale = gate._SCALE
-    live = _case2_entry(bplan, n_i, source, draws, g, scale)
+    live = _case2_entry(bplan, n_i, source, draws)
     if stats is not None:
         stats["tgeo_draws"] = stats.get("tgeo_draws", 0) + len(live)
     _advance_rounds(
@@ -179,13 +273,14 @@ def _chain_case2_impl(
     )
 
 
-def _case2_entry(bplan, n_i, source, draws, g, scale) -> list[tuple]:
+def _case2_entry(bplan, n_i, source, draws) -> list[tuple]:
     """Theorem 1.3 case 2.2 entry for every draw: uniform index accepted
     with ``Ber((1-p')^(k-1))``, fused fetch, round layout.  Returns the
     surviving ``(draw, k)`` chains."""
     if n_i == 1:
         return [(j, 1) for j in draws]
-    plos, phis = pow_bounds(bplan, n_i, g, scale)
+    g = gate.GATE_BITS
+    plos, phis = pow_bounds(bplan, n_i, g, gate._SCALE)
     both = (n_i - 1).bit_length() + g
     g_mask = (1 << g) - 1
     bits = source.bits

@@ -10,7 +10,7 @@ neighbor simultaneously* (the phenomenon Appendix A highlights).
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable, Iterator
 
 from ..randvar.bitsource import BitSource, RandomBitSource
 from ..wordram.rational import Rat
@@ -38,19 +38,6 @@ class DynamicWeightedDigraph:
         self._out: dict[Hashable, HALT] = {}
         self._edges: dict[tuple[Hashable, Hashable], int] = {}
         self._nodes: set[Hashable] = set()
-
-    # -- construction helpers ----------------------------------------------------
-
-    @classmethod
-    def from_edges(
-        cls,
-        edges: Iterable[tuple[Hashable, Hashable, int]],
-        **kwargs,
-    ) -> "DynamicWeightedDigraph":
-        graph = cls(**kwargs)
-        for u, v, w in edges:
-            graph.add_edge(u, v, w)
-        return graph
 
     def _halt_for(self, table: dict[Hashable, HALT], node: Hashable) -> HALT:
         halt = table.get(node)

@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 import re
 import time
-from typing import Callable, Iterable
+from typing import Callable
 
 _NAME = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*\Z")
 
@@ -350,13 +350,3 @@ def timed(
         return fn(*args, **kwargs)
     finally:
         histogram.observe(time.perf_counter_ns() - start)
-
-
-def iter_series(
-    registry: MetricsRegistry,
-) -> Iterable[tuple[str, str, tuple, object]]:
-    """``(name, kind, label tuple, instrument)`` for every series —
-    the programmatic scrape the tests use."""
-    for name, (kind, _, series_map) in registry._families.items():
-        for key, series in series_map.items():
-            yield name, kind, key, series

@@ -210,8 +210,3 @@ def dyadic_first_given_hit_approx_fn(g: int) -> ApproxFn:
         return rescale(v, s, i)
 
     return approx
-
-
-def clear_caches() -> None:
-    """Drop memoized fixed-point powers (test isolation helper)."""
-    _POW_CACHE.clear()

@@ -63,7 +63,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..fastpath.kernels import kernel_name
 from ..obs.metrics import OBS, time_ns
 from ..wordram.rational import parse_rational
 from . import snapshot as snapshot_format
@@ -365,7 +364,7 @@ class LineProtocol:
         backend = service.backend
         shard_n = "/".join(str(n) for n in backend.shard_sizes())
         workers = backend.worker_info()
-        runtime = f"backend={backend.name}, kernel={kernel_name()}"
+        runtime = f"backend={backend.name}"
         if workers is not None:
             runtime += f", workers={workers}"
             standbys = backend.standby_info()

@@ -96,10 +96,3 @@ def load(path: str) -> dict:
             f"for num_shards={doc.get('num_shards')}"
         )
     return doc
-
-
-def shard_items(doc: dict, shard_index: int) -> list[tuple[Hashable, int]]:
-    """One shard's ``(key, weight)`` list in structure order."""
-    return [
-        (key, weight) for key, weight in doc["shards"][shard_index]["items"]
-    ]

@@ -13,7 +13,7 @@ paper relies on, so it is built here, minimal and explicit.
 
 from __future__ import annotations
 
-from math import gcd, nextafter
+from math import gcd
 
 from .bits import ceil_log2_rational, floor_log2_rational
 
@@ -102,7 +102,12 @@ class Rat:
     def __pow__(self, exponent: int) -> "Rat":
         if exponent < 0:
             return self.reciprocal() ** (-exponent)
-        return Rat(self.num**exponent, self.den**exponent)
+        # Powers of a fraction in lowest terms stay in lowest terms, so the
+        # constructor's gcd (quadratic in the operands' size) is skipped.
+        out = object.__new__(Rat)
+        object.__setattr__(out, "num", self.num**exponent)
+        object.__setattr__(out, "den", self.den**exponent)
+        return out
 
     def reciprocal(self) -> "Rat":
         if self.num == 0:
@@ -179,16 +184,6 @@ class Rat:
         value = self.num / self.den
         object.__setattr__(self, "_float", value)
         return value
-
-    def float_bounds(self) -> tuple[float, float]:
-        """Certified double bounds ``lo <= self <= hi`` one ulp apart.
-
-        The float gate of :mod:`repro.fastpath` brackets probabilities with
-        these; correct rounding of ``num / den`` makes one ``nextafter``
-        step in each direction sufficient.
-        """
-        q = float(self)
-        return nextafter(q, 0.0), nextafter(q, float("inf"))
 
     def fixed_point(self, frac_bits: int) -> int:
         """``floor(self * 2**frac_bits)`` — fixed-point truncation."""

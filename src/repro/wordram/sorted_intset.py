@@ -157,26 +157,6 @@ class SortedIntSet:
 
     # -- traversal ---------------------------------------------------------------
 
-    def first_node(self):
-        """Head of the intrusive linked list (or None): hot-path traversal.
-
-        Nodes expose ``.value`` and ``.next``; walking them directly avoids
-        per-element generator resumption on query hot paths.  Ops are not
-        ticked — the fast path is not op-accounted.
-        """
-        return self._head
-
-    def first_node_from(self, start: int):
-        """Node of the smallest element ``>= start`` (or None), O(1)."""
-        if start <= 0:
-            return self._head
-        if start >= self.universe:
-            return None
-        u = self._bitmap >> start
-        if u == 0:
-            return None
-        return self._nodes[start + ((u & -u).bit_length() - 1)]
-
     def iter_ascending(self, start: int | None = None) -> Iterator[int]:
         """Yield elements in ascending order, optionally from ``>= start``."""
         if start is None:

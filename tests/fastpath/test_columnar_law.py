@@ -13,12 +13,6 @@ alias rows, grouped Algorithm 5 chains), ``fast=False`` the exact
 per-entry engine batched over the shared ``QueryPlan``.  The gate word is
 shrunk so the enumeration stays feasible; the output law is gate-width
 independent.
-
-Every test in this module runs once per installed kernel backend (the
-autouse ``kernel_backend`` fixture; the numpy leg skips when numpy is
-absent): the columnar hot loops dispatch through
-:mod:`repro.fastpath.kernels`, so each backend's arithmetic must
-enumerate to the identical exact joint law.
 """
 
 import pytest
@@ -26,38 +20,11 @@ import pytest
 from repro.core.bucket_dpss import BucketDPSS
 from repro.core.halt import HALT
 from repro.core.naive import NaiveDPSS
-from repro.fastpath import kernels
 from repro.fastpath.gate import set_gate_bits
 from repro.randvar.distributions import subset_sample_pmf
 from repro.wordram.rational import Rat
 
 from ..randvar.harness import assert_law_close, enumerate_law
-
-
-@pytest.fixture(
-    autouse=True,
-    params=[
-        "python",
-        pytest.param(
-            "numpy",
-            marks=pytest.mark.skipif(
-                "numpy" not in kernels.names(),
-                reason="numpy backend not installed",
-            ),
-        ),
-    ],
-)
-def kernel_backend(request):
-    """Run every law enumeration under each installed kernel backend.
-
-    Activation happens before the structure factories run, so the plans
-    built inside the tests capture the parameterized backend.
-    """
-    previous = kernels.activate(request.param)
-    try:
-        yield request.param
-    finally:
-        kernels.activate(previous)
 
 
 def product_law(weights, alpha, beta):

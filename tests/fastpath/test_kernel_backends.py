@@ -1,66 +1,18 @@
-"""Cross-backend identity of the columnar kernel layer.
+"""The columnar kernel module's stream primitive and its batch metric.
 
-The contract of :mod:`repro.fastpath.kernels` is stronger than "same
-law": because both backends consume the *identical* logical word sequence
-and resolve every undecided band through the same exact scalar
-primitives, their outputs and their bit consumption must be
-**bit-identical** — swapping ``REPRO_KERNEL`` can never change a single
-sampled key, stream position, or serve reply byte.  These tests pin that
-contract directly (the law enumerations in ``test_columnar_law.py`` pin
-per-backend exactness separately):
+- ``read_words`` is exactly repeated ``bits(width)`` calls, so grouped
+  block fetches never change the stream a kernel consumes;
+- every kernel call counts its elements into the single
+  ``repro_kernel_batch_elems_total`` series.
 
-- ``read_words`` is exactly repeated ``bits(width)`` calls;
-- randomized seeded runs and exhaustive ``EnumerationBitSource`` replays
-  produce identical draws *and* identical ``consumed`` across backends;
-- a full serve-loop script replayed under each backend emits
-  byte-identical reply streams;
-- the ``REPRO_KERNEL`` override selects (or refuses) backends at import;
-- every kernel call counts its elements into
-  ``repro_kernel_batch_elems_total{backend=...}``.
+The law enumerations in ``test_columnar_law.py`` pin the kernels'
+exactness.
 """
 
-import io
-import os
-import random
-import subprocess
-import sys
-
-import pytest
-
-from repro.core.bucket_dpss import BucketDPSS
 from repro.core.halt import HALT
 from repro.fastpath import kernels
-from repro.randvar.bitsource import (
-    BitsExhausted,
-    EnumerationBitSource,
-    RandomBitSource,
-)
-from repro.service import SamplingService, ServiceConfig
-from repro.service.serve_loop import serve_loop
-
-BACKENDS = [
-    "python",
-    pytest.param(
-        "numpy",
-        marks=pytest.mark.skipif(
-            "numpy" not in kernels.names(),
-            reason="numpy backend not installed",
-        ),
-    ),
-]
-
-needs_numpy = pytest.mark.skipif(
-    "numpy" not in kernels.names(), reason="numpy backend not installed"
-)
-
-
-@pytest.fixture()
-def restore_backend():
-    previous = kernels.kernel_name()
-    try:
-        yield
-    finally:
-        kernels.activate(previous)
+from repro.obs import REGISTRY
+from repro.randvar.bitsource import RandomBitSource
 
 
 def test_read_words_is_repeated_bits_calls():
@@ -73,132 +25,20 @@ def test_read_words_is_repeated_bits_calls():
             assert grouped.consumed == naive.consumed
 
 
-class TestCrossBackendIdentity:
-    @needs_numpy
-    @pytest.mark.parametrize("cls", [HALT, BucketDPSS])
-    def test_seeded_runs_identical(self, cls, restore_backend):
-        rng = random.Random(31)
-        items = [(i, rng.randint(1, 1 << 12)) for i in range(600)]
-
-        def run(backend, seed, count):
-            kernels.activate(backend)
-            source = RandomBitSource(seed)
-            structure = cls(items, source=source)
-            draws = structure.query_many(1, 0, count)
-            return draws, source.consumed
-
-        for seed in (1, 5, 9):
-            for count in (2, 17, 64, 256):
-                assert run("python", seed, count) == run(
-                    "numpy", seed, count
-                ), f"seed={seed} count={count}"
-
-    @needs_numpy
-    def test_enumeration_replays_identical(self, restore_backend):
-        # Fixed replay strings: both backends must either complete with
-        # the same draws at the same stream position, or exhaust at the
-        # same point — over many random strings this walks accept, alias,
-        # ambiguous-resolve, and chain paths alike.
-        rng = random.Random(77)
-        items = [(i, rng.randint(1, 1 << 10)) for i in range(200)]
-        length = 1 << 13
-
-        def run(backend, string):
-            kernels.activate(backend)
-            source = EnumerationBitSource(string, length)
-            structure = HALT(items, source=source)
-            try:
-                draws = structure.query_many(1, 0, 32)
-            except BitsExhausted:
-                return ("exhausted", source.position)
-            return (draws, source.position)
-
-        for _ in range(25):
-            string = rng.getrandbits(length)
-            assert run("python", string) == run("numpy", string)
-
-
-class TestServeReplayByteIdentity:
-    @needs_numpy
-    def test_reply_streams_identical_across_backends(self, restore_backend):
-        # The acceptance bar: a full serve session (mutations, flushes,
-        # batched queries across shards) replayed with REPRO_KERNEL=numpy
-        # vs python must emit byte-identical reply streams.  The script
-        # avoids the stats verb, which reports the backend name by design.
-        rng = random.Random(4040)
-        strings = [rng.getrandbits(1 << 14) for _ in range(8)]
-        script = "".join(
-            [f"put {i} {rng.randint(1, 1 << 16)}\n" for i in range(64)]
-            + ["flush\n", "len\n", "weight\n"]
-            + ["query 1 0 40\n", "query 1 2 17\n", "query 2 1 64\n"]
-            + ["quit\n"]
-        )
-
-        def run(backend):
-            kernels.activate(backend)
-            service = SamplingService(
-                ServiceConfig(num_shards=3, seed=5, workers=False),
-                source_factory=lambda index: EnumerationBitSource(
-                    strings[index], 1 << 14
-                ),
-            )
-            out = io.StringIO()
-            try:
-                assert serve_loop(service, io.StringIO(script), out) == 0
-            finally:
-                service.close()
-            return out.getvalue().encode()
-
-        assert run("python") == run("numpy")
-
-
-class TestBackendSelection:
-    def test_activate_swaps_and_reports_previous(self, restore_backend):
-        previous = kernels.kernel_name()
-        assert kernels.activate("python") == previous
-        assert kernels.kernel_name() == "python"
-        assert kernels.active() is kernels.get("python")
-
-    def test_names_always_include_python(self):
-        assert "python" in kernels.names()
-
-    @pytest.mark.parametrize("forced", ["python", "numpy"])
-    def test_repro_kernel_env_forces_backend(self, forced):
-        if forced == "numpy" and "numpy" not in kernels.names():
-            pytest.skip("numpy backend not installed")
-        env = dict(os.environ, REPRO_KERNEL=forced)
-        env["PYTHONPATH"] = os.pathsep.join(sys.path)
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from repro.fastpath import kernels; print(kernels.kernel_name())"],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.strip() == forced
-
-    def test_repro_kernel_env_rejects_unknown(self):
-        env = dict(os.environ, REPRO_KERNEL="cuda")
-        env["PYTHONPATH"] = os.pathsep.join(sys.path)
-        out = subprocess.run(
-            [sys.executable, "-c", "import repro.fastpath.kernels"],
-            env=env, capture_output=True, text=True,
-        )
-        assert out.returncode != 0
-        assert "REPRO_KERNEL" in out.stderr
-
-
 class TestKernelMetric:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_batch_elems_counts_kernel_work(self, backend, restore_backend):
-        kernels.activate(backend)
-        counter = kernels.get(backend)._ELEMS
-        before_backend = counter.value
-        before_total = kernels.batch_elems()
+    def test_batch_elems_counts_kernel_work(self):
+        counter = REGISTRY.counter("repro_kernel_batch_elems_total")
+        before = kernels.batch_elems()
+        assert counter.value == before
         structure = HALT(
             ((i, w) for i, w in enumerate([1, 3, 7, 2] * 40)),
             source=RandomBitSource(13),
         )
         structure.query_many(1, 0, 64)
-        assert counter.value > before_backend
-        assert kernels.batch_elems() - before_total == (
-            counter.value - before_backend
-        )
+        assert kernels.batch_elems() > before
+        assert counter.value == kernels.batch_elems()
+        series = [
+            line for line in REGISTRY.render()
+            if line.startswith("repro_kernel_batch_elems_total")
+        ]
+        assert series == [f"repro_kernel_batch_elems_total {counter.value}"]

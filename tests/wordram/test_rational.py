@@ -1,7 +1,9 @@
 """Exact rational arithmetic (the O(1)-word Rat type)."""
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.wordram.rational import Rat
 
@@ -70,6 +72,28 @@ class TestArithmetic:
         assert Rat(2, 3) ** 3 == Rat(8, 27)
         assert Rat(2, 3) ** 0 == Rat.one()
         assert Rat(2, 3) ** -1 == Rat(3, 2)
+
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=1, max_value=10**6),
+        st.sampled_from([0, 1, 2, -3]),
+    )
+    @example(6, 4, 2)
+    @example(6, 4, -3)
+    @example(0, 7, 0)
+    @example(0, 7, 2)
+    @example(0, 7, -3)
+    def test_pow_is_in_lowest_terms(self, a, b, e):
+        # Pins the representation, not just the value: ``==`` compares
+        # cross products, so it would accept an unreduced power.
+        try:
+            expected = Fraction(a, b) ** e
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                Rat(a, b) ** e
+            return
+        r = Rat(a, b) ** e
+        assert (r.num, r.den) == (expected.numerator, expected.denominator)
 
     def test_reciprocal(self):
         assert Rat(2, 5).reciprocal() == Rat(5, 2)
